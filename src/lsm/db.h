@@ -127,6 +127,12 @@ class DB {
   /// written, no compaction runs; Put/Delete/Write return
   /// NotSupported. Call TryCatchUp() to pick up new state persisted by
   /// the primary.
+  ///
+  /// The instance serves a view: one manifest state plus the WAL
+  /// records after it, with every SST of that state held open. The
+  /// view stays readable until the next successful TryCatchUp, even
+  /// after the primary deletes its files; an iterator keeps reading
+  /// the view it was opened on for as long as it lives.
   static Status OpenReadOnly(const Options& options, const std::string& name,
                              DB** dbptr);
 
@@ -338,6 +344,12 @@ class DB {
   /// Read-only instances: re-reads the manifest/WALs to observe the
   /// primary's latest persisted state. Primary instances return OK
   /// without doing anything.
+  ///
+  /// The new view replaces the current one only when it was built
+  /// whole; on any failure the previous view stays in place. A WAL
+  /// read error is a failure, a torn WAL tail is not. TryAgain means
+  /// the primary kept publishing new manifests (deleting the files the
+  /// last one read still named) through every attempt: call again.
   virtual Status TryCatchUp() = 0;
 
   /// Blocks until all scheduled background flushes and compactions

@@ -138,6 +138,12 @@ DBImpl::~DBImpl() {
     (void)logfile_->Close();
     logfile_.reset();
   }
+  for (Cache::Handle* handle : view_pins_) {
+    table_cache_->Release(handle);
+  }
+  for (ReplicaView& view : retired_views_) {
+    ReleaseReplicaView(&view);
+  }
   versions_.reset();
   table_cache_.reset();
 }
@@ -396,14 +402,27 @@ Status DBImpl::Recover() {
   table_cache_ = std::make_unique<TableCache>(
       dbname_, options_, &internal_comparator_, files_.get(), block_cache_,
       /*max_open_tables=*/1000);
+
+  if (read_only_) {
+    if (!options_.env->FileExists(CurrentFileName(dbname_))) {
+      return Status::NotFound("database does not exist", dbname_);
+    }
+    ReplicaView view;
+    s = BuildReplicaView(&view);
+    if (!s.ok()) {
+      return s;
+    }
+    InstallReplicaView(&view);
+    RecordCatchupApplied();
+    SetupHealthPlane();
+    return Status::OK();
+  }
+
   versions_ = std::make_unique<VersionSet>(dbname_, options_,
                                            &internal_comparator_,
                                            table_cache_.get(), files_.get());
 
   if (!options_.env->FileExists(CurrentFileName(dbname_))) {
-    if (read_only_) {
-      return Status::NotFound("database does not exist", dbname_);
-    }
     if (options_.create_if_missing) {
       s = NewDb();
       if (!s.ok()) {
@@ -413,7 +432,7 @@ Status DBImpl::Recover() {
       return Status::InvalidArgument(dbname_,
                                      "does not exist (create_if_missing=false)");
     }
-  } else if (options_.error_if_exists && !read_only_) {
+  } else if (options_.error_if_exists) {
     return Status::InvalidArgument(dbname_, "exists (error_if_exists=true)");
   }
 
@@ -444,7 +463,8 @@ Status DBImpl::Recover() {
 
   VersionEdit edit;
   for (uint64_t log_number : logs) {
-    s = RecoverLogFile(log_number, &max_sequence, &edit);
+    s = RecoverLogFile(log_number, /*replica_mem=*/nullptr, &max_sequence,
+                       &edit);
     if (!s.ok()) {
       if (!options_.paranoid_checks &&
           (s.IsCorruption() || s.IsNotFound())) {
@@ -471,16 +491,6 @@ Status DBImpl::Recover() {
 
   if (versions_->LastSequence() < max_sequence) {
     versions_->SetLastSequence(max_sequence);
-  }
-
-  if (read_only_) {
-    if (mem_ == nullptr) {
-      mem_ = new MemTable(internal_comparator_, options_.memtable_shards);
-      mem_->Ref();
-    }
-    RecordCatchupApplied();
-    SetupHealthPlane();
-    return Status::OK();
   }
 
   // Start a fresh WAL and persist the recovery edit.

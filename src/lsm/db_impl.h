@@ -9,6 +9,7 @@
 #include <set>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "env/io_stats.h"
 #include "lsm/compaction_service.h"
@@ -131,8 +132,11 @@ class DBImpl final : public DB {
                                 SequenceNumber* latest_snapshot);
 
   // Recovery (db_recovery.cc).
-  Status RecoverLogFile(uint64_t log_number, SequenceNumber* max_sequence,
-                        VersionEdit* edit);
+  /// Replays one WAL. The writer flushes overflow to level-0 SSTs
+  /// recorded in *edit; a read-only instance passes `replica_mem` and
+  /// every record stays there.
+  Status RecoverLogFile(uint64_t log_number, MemTable* replica_mem,
+                        SequenceNumber* max_sequence, VersionEdit* edit);
   /// On success with a non-empty output, *pending_output is the new
   /// file's number, still registered in pending_outputs_: the caller
   /// must erase it only AFTER the edit has been installed, or a
@@ -140,6 +144,30 @@ class DBImpl final : public DB {
   /// delete the not-yet-referenced file.
   Status WriteLevel0Table(MemTable* mem, VersionEdit* edit,
                           uint64_t* pending_output);
+
+  // Read-only instances (db_recovery.cc).
+  /// What a read-only instance serves: the version its manifest read
+  /// produced, the memtable its WAL replay filled, and one table-cache
+  /// pin per SST of the version. The pins keep the view readable after
+  /// the writer deletes its files.
+  struct ReplicaView {
+    std::unique_ptr<VersionSet> versions;
+    MemTable* mem = nullptr;
+    std::vector<Cache::Handle*> pins;
+  };
+  /// Builds a complete view from the published manifest and WALs,
+  /// re-reading the manifest while it moves underneath (up to a fixed
+  /// number of attempts, then TryAgain). On failure *view is empty.
+  Status BuildReplicaView(ReplicaView* view);
+  /// One attempt; on failure the caller releases *view. Sets *stale
+  /// when the failure proves that a newer manifest exists (a file the
+  /// manifest named is gone).
+  Status TryBuildReplicaView(ReplicaView* view, bool* stale);
+  /// Swaps *view in as the served view. The previous one is retired
+  /// until no reader holds its version. REQUIRES: mutex_ held.
+  void InstallReplicaView(ReplicaView* view);
+  /// Unpins and frees a view that no reader can reach.
+  void ReleaseReplicaView(ReplicaView* view);
 
   // Background work (db_compaction.cc). The jobs report failures to
   // error_handler_ with a BackgroundErrorReason attributing the failed
@@ -321,6 +349,14 @@ class DBImpl final : public DB {
   bool manual_compaction_running_ = false;
 
   std::unique_ptr<VersionSet> versions_;
+
+  // Read-only instances: the pins of the served view (versions_ and
+  // mem_), and earlier views whose versions readers still hold. Both
+  // guarded by mutex_; catchup_mutex_ serializes TryCatchUp so views
+  // are installed in manifest order.
+  std::vector<Cache::Handle*> view_pins_;
+  std::vector<ReplicaView> retired_views_;
+  std::mutex catchup_mutex_;
 
   // Classifies background failures, drives the DB error state machine
   // and schedules auto-resume retries. All access under mutex_.

@@ -9,9 +9,17 @@
 
 namespace shield {
 
-// Replays one WAL into memtable(s), flushing overflow to level-0
-// SSTs. In read-only mode everything stays in mem_.
-Status DBImpl::RecoverLogFile(uint64_t log_number,
+namespace {
+
+// Manifest reads one catch-up makes before it reports TryAgain, when
+// each read names a file the writer has deleted since.
+constexpr int kMaxReplicaViewAttempts = 8;
+
+}  // namespace
+
+// Replays one WAL into memtable(s), flushing overflow to level-0 SSTs.
+// A replica keeps every record in replica_mem.
+Status DBImpl::RecoverLogFile(uint64_t log_number, MemTable* replica_mem,
                               SequenceNumber* max_sequence,
                               VersionEdit* edit) {
   struct LogReporter : public log::Reader::Reporter {
@@ -39,15 +47,7 @@ Status DBImpl::RecoverLogFile(uint64_t log_number,
 
   Slice record;
   std::string scratch;
-  MemTable* mem = nullptr;
-  if (read_only_) {
-    // Read-only instances accumulate all replayed WAL state in mem_.
-    if (mem_ == nullptr) {
-      mem_ = new MemTable(internal_comparator_, options_.memtable_shards);
-      mem_->Ref();
-    }
-    mem = mem_;
-  }
+  MemTable* mem = replica_mem;
   while (reader.ReadRecord(&record, &scratch) && status.ok()) {
     if (record.size() < 12) {
       continue;  // malformed fragment already reported
@@ -68,7 +68,7 @@ Status DBImpl::RecoverLogFile(uint64_t log_number,
       *max_sequence = last_seq;
     }
 
-    if (!read_only_ &&
+    if (replica_mem == nullptr &&
         mem->ApproximateMemoryUsage() > options_.write_buffer_size) {
       uint64_t pending_output = 0;
       status = WriteLevel0Table(mem, edit, &pending_output);
@@ -82,8 +82,14 @@ Status DBImpl::RecoverLogFile(uint64_t log_number,
     }
   }
 
-  if (read_only_) {
-    return status;  // everything stays in mem_
+  if (replica_mem != nullptr) {
+    // The writer may be mid-append, so a damaged tail is expected. A
+    // read error is not: the rest of the log was never seen.
+    if (status.ok() && !replay_corruption.ok() &&
+        !replay_corruption.IsCorruption()) {
+      return replay_corruption;
+    }
+    return status;
   }
   if (status.ok() && mem != nullptr && mem->NumEntries() > 0) {
     uint64_t pending_output = 0;
@@ -212,6 +218,138 @@ Status DBImpl::WriteLevel0Table(MemTable* mem, VersionEdit* edit,
   return s;
 }
 
+Status DBImpl::TryBuildReplicaView(ReplicaView* view, bool* stale) {
+  *stale = false;
+  view->versions = std::make_unique<VersionSet>(
+      dbname_, options_, &internal_comparator_, table_cache_.get(),
+      files_.get());
+  Status s = view->versions->Recover();
+  if (!s.ok()) {
+    return s;
+  }
+  const uint64_t min_log = view->versions->LogNumber();
+
+  // Open every table now: an open reader keeps its file readable after
+  // the writer's compactions delete it.
+  std::vector<Version::LiveFileInfo> files;
+  view->versions->current()->GetAllFiles(&files);
+  for (const Version::LiveFileInfo& f : files) {
+    Cache::Handle* handle = nullptr;
+    s = table_cache_->FindTable(f.number, f.file_size, &handle);
+    if (!s.ok()) {
+      *stale = s.IsNotFound();
+      return s;
+    }
+    view->pins.push_back(handle);
+  }
+
+  std::vector<std::string> filenames;
+  s = options_.env->GetChildren(dbname_, &filenames);
+  if (!s.ok()) {
+    return s;
+  }
+  std::vector<uint64_t> logs;
+  uint64_t number;
+  DbFileType type;
+  for (const std::string& filename : filenames) {
+    if (ParseFileName(filename, &number, &type) &&
+        type == DbFileType::kLogFile && number >= min_log) {
+      logs.push_back(number);
+    }
+  }
+  std::sort(logs.begin(), logs.end());
+  if (logs.empty() || logs.front() != min_log) {
+    // The WAL the manifest names is gone. If the writer flushed it and
+    // published a newer manifest, replaying the rest would expose later
+    // writes without earlier ones. Otherwise the directory never held
+    // it (a restored backup may carry no WAL) and the view is whole.
+    VersionSet latest(dbname_, options_, &internal_comparator_,
+                      table_cache_.get(), files_.get());
+    s = latest.Recover();
+    if (!s.ok()) {
+      return s;
+    }
+    if (latest.LogNumber() != min_log) {
+      *stale = true;
+      return Status::TryAgain("WAL flushed during catch-up",
+                              LogFileName(dbname_, min_log));
+    }
+  }
+
+  view->mem = new MemTable(internal_comparator_, options_.memtable_shards);
+  view->mem->Ref();
+  SequenceNumber max_sequence = 0;
+  for (uint64_t log_number : logs) {
+    VersionEdit unused_edit;
+    s = RecoverLogFile(log_number, view->mem, &max_sequence, &unused_edit);
+    if (s.IsCorruption() && !options_.paranoid_checks) {
+      continue;  // torn below its header, as Recover salvages it
+    }
+    if (!s.ok()) {
+      // A listed WAL that vanished was flushed into a newer manifest.
+      *stale = s.IsNotFound();
+      return s;
+    }
+  }
+  if (view->versions->LastSequence() < max_sequence) {
+    view->versions->SetLastSequence(max_sequence);
+  }
+  return Status::OK();
+}
+
+Status DBImpl::BuildReplicaView(ReplicaView* view) {
+  Status s;
+  for (int attempt = 0; attempt < kMaxReplicaViewAttempts; attempt++) {
+    bool stale = false;
+    s = TryBuildReplicaView(view, &stale);
+    if (s.ok()) {
+      return s;
+    }
+    ReleaseReplicaView(view);
+    if (!stale) {
+      return s;
+    }
+  }
+  return Status::TryAgain("manifest kept moving during catch-up",
+                          s.ToString());
+}
+
+void DBImpl::InstallReplicaView(ReplicaView* view) {
+  std::swap(versions_, view->versions);
+  std::swap(mem_, view->mem);
+  std::swap(view_pins_, view->pins);
+  // Readers hold their own references on the old memtable, but only on
+  // a version of the old set: keep the set (and its pins) until the
+  // last of them finishes.
+  if (view->mem != nullptr) {
+    view->mem->Unref();
+    view->mem = nullptr;
+  }
+  if (view->versions != nullptr) {
+    retired_views_.push_back(std::move(*view));
+  }
+  *view = ReplicaView();
+  auto idle = std::partition(
+      retired_views_.begin(), retired_views_.end(),
+      [](const ReplicaView& v) { return v.versions->HasReaders(); });
+  for (auto it = idle; it != retired_views_.end(); ++it) {
+    ReleaseReplicaView(&*it);
+  }
+  retired_views_.erase(idle, retired_views_.end());
+}
+
+void DBImpl::ReleaseReplicaView(ReplicaView* view) {
+  for (Cache::Handle* handle : view->pins) {
+    table_cache_->Release(handle);
+  }
+  view->pins.clear();
+  if (view->mem != nullptr) {
+    view->mem->Unref();
+    view->mem = nullptr;
+  }
+  view->versions.reset();
+}
+
 Status DBImpl::TryCatchUp() {
   if (!read_only_) {
     return Status::OK();
@@ -223,60 +361,21 @@ Status DBImpl::TryCatchUp() {
   ScopedTracerBinding trace_binding(&tracer_);
   TraceSpan span(SpanType::kRecovery, Slice("catchup"));
 
-  std::unique_lock<std::mutex> lock(mutex_);
-
-  // Rebuild version state from the manifest the primary most recently
-  // published, then re-replay its WALs.
-  auto new_versions = std::make_unique<VersionSet>(
-      dbname_, options_, &internal_comparator_, table_cache_.get(),
-      files_.get());
-  Status s = new_versions->Recover();
+  // The new view is built aside, without mutex_: readers keep serving
+  // the current view, which stays whole if the build fails.
+  std::lock_guard<std::mutex> catchup_lock(catchup_mutex_);
+  ReplicaView view;
+  Status s = BuildReplicaView(&view);
   if (!s.ok()) {
     return s;
   }
-
-  if (mem_ != nullptr) {
-    mem_->Unref();
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    InstallReplicaView(&view);
   }
-  mem_ = new MemTable(internal_comparator_, options_.memtable_shards);
-  mem_->Ref();
-
-  versions_ = std::move(new_versions);
-
-  SequenceNumber max_sequence = 0;
-  const uint64_t min_log = versions_->LogNumber();
-  std::vector<std::string> filenames;
-  s = options_.env->GetChildren(dbname_, &filenames);
-  if (s.ok()) {
-    std::vector<uint64_t> logs;
-    uint64_t number;
-    DbFileType type;
-    for (const std::string& filename : filenames) {
-      if (ParseFileName(filename, &number, &type) &&
-          type == DbFileType::kLogFile && number >= min_log) {
-        logs.push_back(number);
-      }
-    }
-    std::sort(logs.begin(), logs.end());
-    VersionEdit unused_edit;
-    for (uint64_t log_number : logs) {
-      Status ls = RecoverLogFile(log_number, &max_sequence, &unused_edit);
-      if (!ls.ok() && !ls.IsNotFound()) {
-        // The primary may delete a WAL while we read: retry next time.
-        s = ls;
-        break;
-      }
-    }
-  }
-
-  if (versions_->LastSequence() < max_sequence) {
-    versions_->SetLastSequence(max_sequence);
-  }
-  if (s.ok()) {
-    // This replica now reflects the primary's published state: reset
-    // the catch-up lag baseline the health plane measures against.
-    RecordCatchupApplied();
-  }
+  // This replica now reflects the primary's published state: reset
+  // the catch-up lag baseline the health plane measures against.
+  RecordCatchupApplied();
   return s;
 }
 

@@ -43,10 +43,14 @@ class TableCache {
   /// Drops the cached reader for a deleted file.
   void Evict(uint64_t file_number);
 
- private:
+  /// Opens the reader for a file (or finds it cached) and holds it
+  /// until Release. Eviction skips a held entry, so reads through the
+  /// cache keep using its open file even after the file is deleted.
   Status FindTable(uint64_t file_number, uint64_t file_size,
                    Cache::Handle** handle);
+  void Release(Cache::Handle* handle) { cache_->Release(handle); }
 
+ private:
   const std::string dbname_;
   const Options options_;
   const InternalKeyComparator* icmp_;

@@ -139,6 +139,12 @@ class VersionSet {
 
   Version* current() const { return current_; }
 
+  /// True while a reader holds a version of this set, beyond the set's
+  /// own reference on current(). The set must outlive such readers.
+  bool HasReaders() const {
+    return current_->refs_ > 1 || dummy_versions_.next_ != current_;
+  }
+
   uint64_t NewFileNumber() { return next_file_number_++; }
   void MarkFileNumberUsed(uint64_t number) {
     if (next_file_number_ <= number) {
